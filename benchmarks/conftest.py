@@ -1,10 +1,10 @@
-"""Benchmark-suite configuration.
+"""Paper-claim suite configuration.
 
-Every benchmark regenerates one paper table/figure through the
-experiment harness and asserts its qualitative claim.  The heavy DES /
-DDE runs are executed exactly once per benchmark (``rounds=1``) — the
-interesting number is the figure's content, not the harness's wall
-clock, and re-running a 30-second sweep five times buys nothing.
+Every test regenerates one paper table/figure through the experiment
+harness and asserts its qualitative claim.  The heavy DES / DDE runs
+are executed exactly once per test — the interesting number is the
+figure's content, not the harness's wall clock, so nothing here needs
+a timing plugin.
 """
 
 import pytest
@@ -13,13 +13,11 @@ from repro.experiments.config import Scale
 
 
 @pytest.fixture
-def run_once(benchmark):
-    """benchmark.pedantic with a single round, returning fn's result."""
+def run_once():
+    """Call ``fn(*args, **kwargs)`` once and return its result."""
 
     def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(
-            fn, args=args, kwargs=kwargs, rounds=1, iterations=1
-        )
+        return fn(*args, **kwargs)
 
     return runner
 

@@ -54,6 +54,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -102,6 +103,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text}"
+        )
     return value
 
 
@@ -715,11 +725,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("simulate", help="one dumbbell run")
-    p.add_argument("--flows", type=int, default=10)
+    p.add_argument("--flows", type=_positive_int, default=10)
     p.add_argument("--protocol", choices=["dctcp", "dt-dctcp"],
                    default="dctcp")
-    p.add_argument("--duration", type=float, default=0.03)
-    p.add_argument("--rtt", type=float, default=100e-6)
+    p.add_argument("--duration", type=_positive_float, default=0.03)
+    p.add_argument("--rtt", type=_positive_float, default=100e-6)
     p.add_argument("--invariants", action="store_true",
                    help="audit packet conservation / queue / pool "
                         "invariants during and after the run")
@@ -727,10 +737,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("incast", help="one incast point on the testbed")
-    p.add_argument("--flows", type=int, default=32)
+    p.add_argument("--flows", type=_positive_int, default=32)
     p.add_argument("--protocol", choices=["dctcp", "dt-dctcp"],
                    default="dctcp")
-    p.add_argument("--queries", type=int, default=10)
+    p.add_argument("--queries", type=_positive_int, default=10)
     p.set_defaults(func=cmd_incast)
 
     p = sub.add_parser("bench", help="repro.perf benchmark suite")

@@ -20,7 +20,6 @@ import math
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.describing_function import (
     neg_inv_relative_df_double,
@@ -145,6 +144,10 @@ def phase_crossovers(
     ever-smaller magnitude; only those within the grid are returned,
     sorted by frequency.
     """
+    # scipy is imported on first use so the packet simulator, which
+    # reaches this package only for its markers, never loads it.
+    from scipy import optimize
+
     if w is None:
         w = default_frequency_grid(net, n_points=20000)
     gain = params.characteristic_gain * loop_gain_scale
@@ -239,6 +242,8 @@ def find_intersections(
     Duplicate roots are merged.  An empty list means the DF method
     predicts no limit cycle.
     """
+    from scipy import optimize
+
     w_grid, plant_vals = plant_locus(net, params, loop_gain_scale=loop_gain_scale)
     x_grid, df_vals = df_locus(params)
     neg_inv = _neg_inv_relative_df(params)

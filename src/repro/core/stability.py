@@ -37,7 +37,6 @@ import math
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.describing_function import (
     max_neg_inv_relative_df_single,
@@ -152,6 +151,9 @@ def stability_margin(
     w_grid, plant_vals = plant_locus(net, params, loop_gain_scale=loop_gain_scale)
     x_grid, df_vals = df_locus(params)
     coarse, i, j = min_curve_distance(plant_vals, df_vals)
+
+    # scipy stays off the simulator's import path (see nyquist.py).
+    from scipy import optimize
 
     from repro.core.nyquist import _neg_inv_relative_df
     from repro.core.transfer_function import open_loop

@@ -25,7 +25,6 @@ import math
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.describing_function import df_double_threshold
 from repro.core.nyquist import principal_phase_crossover
@@ -92,6 +91,8 @@ def predicted_dt_amplitude(
     DT-DCTCP — its strongest form of "more stable than DCTCP".  The
     function then returns None.
     """
+    from scipy import optimize
+
     net = paper_network(n_flows)
     mid = (k1 + k2) / 2.0
     gap_half = (k2 - k1) / 2.0

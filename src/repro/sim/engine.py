@@ -475,8 +475,13 @@ class Simulator:
         ``until`` (the clock then advances to ``until`` exactly), when a
         callback calls :meth:`stop`, or after ``max_events`` callbacks
         (a runaway guard for tests).  Re-entrant calls are rejected —
-        callbacks must schedule, not run.
+        callbacks must schedule, not run.  ``until`` must be finite: a
+        NaN bound compares false everywhere and would be ignored, and an
+        infinite one would leave the clock at ``inf``; pass ``None`` to
+        run until the queue drains.
         """
+        if until is not None and not math.isfinite(until):
+            raise ValueError(f"until must be finite or None, got {until!r}")
         if self._running:
             raise RuntimeError("Simulator.run() is not re-entrant")
         self._running = True

@@ -19,6 +19,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "--protocol", "cubic"])
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--duration", "-1"],
+        ["simulate", "--duration", "0"],
+        ["simulate", "--duration", "nan"],
+        ["simulate", "--duration", "inf"],
+        ["simulate", "--rtt", "0"],
+        ["simulate", "--rtt", "nan"],
+        ["simulate", "--rtt", "-1e-4"],
+        ["simulate", "--flows", "0"],
+        ["incast", "--flows", "0"],
+        ["incast", "--queries", "0"],
+        ["incast", "--queries", "-3"],
+    ])
+    def test_bad_numeric_arguments_rejected_at_parse_time(self, argv, capsys):
+        """One-line argparse error and exit 2 — never a NaN table with
+        exit 0, a silent zero-RTT run, or a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}:" in err
+        assert "Traceback" not in err
+
     def test_every_eval_figure_mapped(self):
         for fig in ("1", "2", "4", "6", "7", "8", "9", "10", "11", "12",
                     "13", "14", "15"):

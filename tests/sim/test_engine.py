@@ -213,6 +213,19 @@ class TestRunLimits:
         sim.run(until=10.0)
         assert sim.now == 1.0  # stopped, not advanced to until
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_until_rejected(self, bad):
+        """A NaN bound compared false everywhere and was ignored; an
+        infinite one could leave the clock at inf once the queue drained."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(ValueError, match="until"):
+            sim.run(until=bad)
+        assert fired == [] and sim.now == 0.0
+        sim.run(until=2.0)  # the rejected call left the simulator usable
+        assert fired == [1] and sim.now == 2.0
+
     def test_next_pending_time_prunes_cancelled_heads(self):
         sim = Simulator()
         cancelled = [sim.schedule(t, lambda: None) for t in (1.0, 2.0, 3.0)]
