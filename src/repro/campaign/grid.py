@@ -19,6 +19,7 @@ them.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec.cases import Case
@@ -145,10 +146,16 @@ class CampaignGrid:
                 raise ValueError(
                     f"need K1 < K2, got K1={config[0]}, K2={config[1]}"
                 )
-            if any(k <= 0 for k in config):
-                raise ValueError(f"thresholds must be positive, got {config}")
-        if not self.loads or any(l <= 0 for l in self.loads):
-            raise ValueError(f"loads must be positive, got {self.loads}")
+            if not all(math.isfinite(k) and k > 0 for k in config):
+                raise ValueError(
+                    f"thresholds must be finite and positive, got {config}"
+                )
+        if not self.loads or not all(
+            math.isfinite(l) and l > 0 for l in self.loads
+        ):
+            raise ValueError(
+                f"loads must be finite and positive, got {self.loads}"
+            )
         if not self.fan_ins or any(f < 0 for f in self.fan_ins):
             raise ValueError(f"fan_ins must be >= 0, got {self.fan_ins}")
         for scenario in self.scenarios:
@@ -171,8 +178,25 @@ class CampaignGrid:
                     raise ValueError(
                         f"unknown sender {sender!r}; choose from {SENDERS}"
                     )
-        if self.jitter_s < 0:
-            raise ValueError(f"jitter_s must be >= 0, got {self.jitter_s}")
+        for name in (
+            "duration",
+            "host_bandwidth_bps",
+            "fabric_bandwidth_bps",
+            "fabric_buffer_bytes",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("warmup", "per_hop_delay", "jitter_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
+        for name in ("flap_period", "flap_down"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.flap_count < 0:
             raise ValueError(
                 f"flap_count must be >= 0, got {self.flap_count}"

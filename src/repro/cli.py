@@ -115,6 +115,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {text}"
+        )
+    return value
+
+
 def _protocol_params(name: str):
     if name == "dctcp":
         return paper_dctcp()
@@ -303,11 +312,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import json
 
     from repro.perf import bench
-    from repro.sim.engine import set_default_event_queue
     from repro.sim.packet_core import set_default_packet_core
 
-    if args.event_queue is not None:
-        set_default_event_queue(args.event_queue)
     if args.packet_core is not None:
         set_default_packet_core(args.packet_core)
 
@@ -748,13 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smaller sizes for the CI smoke job")
     p.add_argument("--output", type=Path, default=Path("BENCH_PR9.json"),
                    help="where to write the JSON payload")
-    event_queue = kernels.registered("REPRO_EVENT_QUEUE")
     packet_core = kernels.registered("REPRO_PACKET_CORE")
-    p.add_argument("--event-queue", choices=list(event_queue.choices or ()),
-                   default=None,
-                   help="pin the event-queue kernel for this run "
-                        f"(default: {event_queue.env} or "
-                        f"{event_queue.default!r})")
     p.add_argument("--packet-core", choices=list(packet_core.choices or ()),
                    default=None,
                    help="pin the packet core for this run "
@@ -808,27 +808,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaves", type=_positive_int, default=3)
     p.add_argument("--spines", type=_positive_int, default=2)
     p.add_argument("--hosts-per-leaf", type=_positive_int, default=2)
-    p.add_argument("--host-bandwidth", type=float, default=None,
+    p.add_argument("--host-bandwidth", type=_positive_float, default=None,
                    metavar="BPS", help="access-link rate (default 10e9)")
-    p.add_argument("--fabric-bandwidth", type=float, default=None,
+    p.add_argument("--fabric-bandwidth", type=_positive_float, default=None,
                    metavar="BPS", help="fabric-link rate (default 40e9)")
-    p.add_argument("--per-hop-delay", type=float, default=None,
+    p.add_argument("--per-hop-delay", type=_non_negative_float, default=None,
                    metavar="SECONDS",
                    help="propagation delay per hop (default 5e-6; "
                         "space-dc preset: 25e-3)")
     p.add_argument("--flow-bytes", type=_positive_int, default=20 * 1024,
                    help="short-flow transfer size")
-    p.add_argument("--duration", type=float, default=None,
+    p.add_argument("--duration", type=_positive_float, default=None,
                    help="simulated window per cell (seconds; default 0.04)")
-    p.add_argument("--warmup", type=float, default=None,
+    p.add_argument("--warmup", type=_non_negative_float, default=None,
                    help="queue statistics discard this prefix "
                         "(seconds; default 0.008)")
-    p.add_argument("--jitter", type=float, default=2e-3, metavar="SECONDS",
+    p.add_argument("--jitter", type=_non_negative_float, default=2e-3,
+                   metavar="SECONDS",
                    help="space-dc cells: per-packet propagation jitter "
                         "amplitude on every fabric link")
-    p.add_argument("--flap-period", type=float, default=2.0,
+    p.add_argument("--flap-period", type=_non_negative_float, default=2.0,
                    help="space-dc cells: seconds between link flaps")
-    p.add_argument("--flap-down", type=float, default=0.5,
+    p.add_argument("--flap-down", type=_non_negative_float, default=0.5,
                    help="space-dc cells: outage length per flap")
     p.add_argument("--flap-count", type=int, default=3,
                    help="space-dc cells: flaps in the train (0 disables)")

@@ -8,13 +8,9 @@ Micro to macro, mirroring where the wall clock actually goes:
   simulator's own hot paths use; ``api="schedule"`` measures the
   handle-returning lane instead, and :func:`bench_handle_pool` isolates
   the :class:`~repro.sim.engine.EventHandle` free list's share of it;
-* :func:`bench_kernel_matrix` — the same dispatch workload under the
-  calendar-queue kernel and the binary-heap oracle, in one process, so
-  the ISSUE 7 calendar speedup is measured on identical interpreter
-  state;
 * :func:`bench_fabric` — one PR 6 leaf-spine campaign cell end to end
   (ECMP fabric, short-flow generators, queue monitors), the macro
-  workload whose event mix the calendar queue is tuned for;
+  workload with the deepest, most varied event mix;
 * :func:`bench_datapath` — the same fabric cell under the fast
   per-packet datapath and the straight-line reference oracle
   (``REPRO_DATAPATH``), interleaved in one process;
@@ -35,7 +31,7 @@ Micro to macro, mirroring where the wall clock actually goes:
 
 :func:`run_benchmarks` bundles everything into one JSON-serialisable
 payload (written to ``BENCH_PR9.json`` by the CLI) — stamped with a
-``kernel`` block recording the event-queue, packet-core and datapath
+``kernel`` block recording the packet-core, link, timer and datapath
 implementations and pool limits the numbers were measured under —
 :func:`check_regression` compares two such payloads for the CI smoke
 job, and :func:`compare_payloads` renders the judgement-free per-lane
@@ -52,8 +48,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.sim.engine import (
     Simulator,
-    default_event_queue,
-    event_queue,
     handle_pool_limit,
     handle_pool_size,
     set_handle_pool_limit,
@@ -68,7 +62,6 @@ from repro.sim.trace import TrackedFifoQueue
 
 __all__ = [
     "bench_engine",
-    "bench_kernel_matrix",
     "bench_link",
     "bench_packet_pool",
     "bench_timer_churn",
@@ -90,12 +83,11 @@ def kernel_metadata() -> Dict[str, Any]:
 
     Stamped into every benchmark payload so two JSON files can be
     compared knowing whether they exercised the same implementations —
-    a calendar-vs-heap delta is a finding, not a regression.
+    a fast-vs-reference delta is a finding, not a regression.
     """
     from repro.sim.packet import _MAX_POOL as packet_pool_max
 
     return {
-        "event_queue": default_event_queue(),
         "packet_core": default_packet_core(),
         "link_model": default_link_model(),
         "timer_model": default_timer_model(),
@@ -111,7 +103,6 @@ def bench_engine(
     n_tickers: int = 64,
     repeats: int = 3,
     api: str = "post",
-    kernel: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Pure event-loop throughput: self-rescheduling ticker callbacks.
 
@@ -121,8 +112,7 @@ def bench_engine(
     link delivery, queue sampling and flow launch actually use since
     ISSUE 7 — while ``api="schedule"`` measures the handle-returning
     lane (the RTO-timer pattern, and what :func:`bench_handle_pool`
-    toggles the free list under).  ``kernel`` pins the event-queue
-    implementation; ``None`` uses the process default.  Best of
+    toggles the free list under).  Best of
     ``repeats`` timed runs after one warmup, like the other benches —
     a single cold pass under-reads small (quick/CI) sizes by 20-30%.
     """
@@ -130,7 +120,7 @@ def bench_engine(
         raise ValueError(f"unknown api {api!r}; choose 'post' or 'schedule'")
 
     def once(budget: int) -> Dict[str, Any]:
-        sim = Simulator(event_queue=kernel)
+        sim = Simulator()
         remaining = budget
         arm = sim.post if api == "post" else sim.schedule
 
@@ -152,7 +142,6 @@ def bench_engine(
             "n_events": sim.events_processed,
             "n_tickers": n_tickers,
             "api": api,
-            "event_queue": sim.event_queue_impl,
             "wall_s": elapsed,
             "events_per_sec": sim.events_processed / elapsed,
         }
@@ -162,48 +151,13 @@ def bench_engine(
     return max(results, key=lambda r: r["events_per_sec"])
 
 
-def bench_kernel_matrix(
-    n_events: int = 300_000, n_tickers: int = 64, repeats: int = 3
-) -> Dict[str, Any]:
-    """The dispatch workload under both event-queue kernels, both APIs.
-
-    Interleaved in one process so the ISSUE 7 acceptance number — the
-    calendar queue's speedup over the PR 4 heap on identical hardware
-    and interpreter state — is read off directly.  ``speedup`` compares
-    the post lane (the simulator's hot path); ``speedup_schedule`` the
-    handle-returning lane.
-    """
-    cells: Dict[str, Dict[str, Any]] = {}
-    for kernel in ("calendar", "heap"):
-        for api in ("post", "schedule"):
-            cells[f"{kernel}_{api}"] = bench_engine(
-                n_events=n_events,
-                n_tickers=n_tickers,
-                repeats=repeats,
-                api=api,
-                kernel=kernel,
-            )
-    return {
-        **cells,
-        "speedup": (
-            cells["calendar_post"]["events_per_sec"]
-            / cells["heap_post"]["events_per_sec"]
-        ),
-        "speedup_schedule": (
-            cells["calendar_schedule"]["events_per_sec"]
-            / cells["heap_schedule"]["events_per_sec"]
-        ),
-    }
-
-
 def bench_fabric(repeats: int = 4) -> Dict[str, Any]:
     """One leaf-spine campaign cell end to end, under the default kernel.
 
     The PR 6 fabric workload — ECMP hashing, per-hop queues, short-flow
     generators, 20 us queue sampling — has a very different event mix
     from the micro benches (many distinct callbacks, bursty ties at
-    hop boundaries), which is exactly what the calendar queue's bucket
-    sizing has to cope with.  Events/sec here is the honest macro
+    hop boundaries).  Events/sec here is the honest macro
     number: simulator events retired per wall second while doing real
     protocol work.
 
@@ -683,7 +637,6 @@ def run_benchmarks(quick: bool = False) -> Dict[str, Any]:
         "platform": platform.platform(),
         "kernel": kernel_metadata(),
         "engine": bench_engine(n_events=300_000 // scale),
-        "kernel_matrix": bench_kernel_matrix(n_events=300_000 // scale),
         "link": bench_link(n_packets=100_000 // scale),
         "packet_pool": bench_packet_pool(n=200_000 // scale),
         "handle_pool": bench_handle_pool(n_events=200_000 // scale),
@@ -703,8 +656,8 @@ def check_regression(
 ) -> Optional[str]:
     """None if ``current`` holds up against ``baseline``, else a reason.
 
-    Six gates are enforced (the CI contract): engine events/sec, the
-    calendar kernel's dispatch rate, the leaf-spine fabric cell's
+    Five gates are enforced (the CI contract): engine events/sec, the
+    leaf-spine fabric cell's
     events/sec and the fast-datapath fabric events/sec (all
     higher-is-better), timer-churn soft-deadline ACKs/sec
     (higher-is-better) and the tracked queue's streaming overhead per
@@ -721,17 +674,6 @@ def check_regression(
             f"engine events/sec regressed: {cur:,.0f} < {floor:,.0f} "
             f"(baseline {base:,.0f}, tolerance {tolerance:.0%})"
         )
-
-    if "kernel_matrix" in baseline and "kernel_matrix" in current:
-        cur = current["kernel_matrix"]["calendar_post"]["events_per_sec"]
-        base = baseline["kernel_matrix"]["calendar_post"]["events_per_sec"]
-        floor = base * (1.0 - tolerance)
-        if cur < floor:
-            return (
-                f"calendar-kernel events/sec regressed: {cur:,.0f} < "
-                f"{floor:,.0f} (baseline {base:,.0f}, "
-                f"tolerance {tolerance:.0%})"
-            )
 
     if "fabric" in baseline and "fabric" in current:
         cur = current["fabric"]["events_per_sec"]
@@ -783,12 +725,6 @@ def check_regression(
 #: payload, unit, and whether a higher number is the good direction.
 _COMPARE_LANES = (
     ("engine", ("engine", "events_per_sec"), "events/s", True),
-    (
-        "calendar",
-        ("kernel_matrix", "calendar_post", "events_per_sec"),
-        "events/s",
-        True,
-    ),
     ("link", ("link", "busy_until", "packets_per_sec"), "pkts/s", True),
     (
         "timers",
@@ -834,8 +770,7 @@ def compare_payloads(
 
     Unlike :func:`check_regression` this judges nothing: it reports
     every lane both payloads carry, in either direction, plus warnings
-    for kernel-metadata mismatches — a calendar-vs-heap or fast-vs-
-    reference delta is a finding about the configuration, not a
+    for kernel-metadata mismatches — a fast-vs-reference delta is a finding about the configuration, not a
     regression, and the warning is what stops it being misread.
     """
     warnings: List[str] = []
@@ -893,22 +828,13 @@ def render_summary(payload: Dict[str, Any]) -> str:
     if "kernel" in payload:
         k = payload["kernel"]
         lines.append(
-            f"kernel   : event-queue={k['event_queue']} "
-            f"packet-core={k['packet_core']} link={k['link_model']} "
+            f"kernel   : packet-core={k['packet_core']} "
+            f"link={k['link_model']} "
             f"timers={k['timer_model']} (python {k['python']})"
         )
     lines.append(
         f"engine   : {payload['engine']['events_per_sec']:>12,.0f} events/s"
     )
-    if "kernel_matrix" in payload:
-        km = payload["kernel_matrix"]
-        lines.append(
-            f"kernels  : calendar "
-            f"{km['calendar_post']['events_per_sec']:,.0f} vs heap "
-            f"{km['heap_post']['events_per_sec']:,.0f} events/s post "
-            f"(speedup {km['speedup']:.2f}x; schedule lane "
-            f"{km['speedup_schedule']:.2f}x)"
-        )
     lines += [
         (
             f"link     : {payload['link']['busy_until']['packets_per_sec']:>12,.0f}"

@@ -75,15 +75,6 @@ REGISTRY: Dict[str, KernelSwitch] = {
     switch.env: switch
     for switch in (
         KernelSwitch(
-            env="REPRO_EVENT_QUEUE",
-            default="calendar",
-            oracle="heap",
-            choices=("calendar", "heap"),
-            description=(
-                "event scheduler: bucketed calendar queue vs binary heap"
-            ),
-        ),
-        KernelSwitch(
             env="REPRO_PACKET_CORE",
             default="flat",
             oracle="object",

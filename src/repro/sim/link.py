@@ -27,17 +27,27 @@ Two interchangeable implementations of that model exist:
   observes the queue (see ``drain_hook`` in
   :class:`~repro.sim.queues.FifoQueue`).
 
-  Equivalence with the reference is exact, including the heap's
-  FIFO-of-ties ordering, because every scheduling decision lands at the
-  same simulated moment the eager schedule would make it: a busy
-  period's first packet schedules the rolling event during the very
-  admission call that would have dequeued it eagerly, successors are
-  rescheduled while earlier packets of the same chain deliver, and
-  deferred dequeues replay strictly *before* the current instant —
-  an eager dequeue at time ``t`` runs inside a tx-done event scheduled
+  On any one interface, equivalence with the reference is exact —
+  delivery times, CE bits, queue statistics and the order of that
+  interface's own deliveries — because every scheduling decision lands
+  at the same simulated moment the eager schedule would make it: a
+  busy period's first packet schedules the rolling event during the
+  very admission call that would have dequeued it eagerly, successors
+  are rescheduled while earlier packets of the same chain deliver, and
+  deferred dequeues replay strictly *before* the current instant — an
+  eager dequeue at time ``t`` runs inside a tx-done event scheduled
   only one serialisation time earlier, which at a tied timestamp fires
   *after* arrivals and samples whose events were scheduled a
   propagation delay (or a full sample interval) before ``t``.
+
+  Across interfaces it is not: the rolling delivery event is scheduled
+  at admission, the two-event delivery at tx-done, so their ``(time,
+  seq)`` keys differ.  Two deliveries due at the same instant on
+  *different* interfaces (say ``leaf1->spine1`` and ``leaf2->spine1``
+  both arriving at ``spine1``) may therefore fire in the other order,
+  and a multi-switch run can drift apart from that tie onward (the
+  dumbbell cells of the differential tests stay byte-identical; a
+  small leaf-spine cell parts ways after ~140 deliveries).
 * ``"two-event"``: the reference implementation with an explicit
   tx-done event between transmission and propagation.  Kept as the
   oracle the differential tests compare against, and used automatically
@@ -158,14 +168,8 @@ class Interface:
         self._peer_receive = None
         #: ``sim.post_at`` pre-bound: the rolling delivery event is
         #: (re)armed once per packet, and the attribute walk costs on
-        #: the hottest lines in the tree.  Under the default flat +
-        #: calendar kernels the engine's pre-specialised variant skips
-        #: the per-call kernel dispatch too.
-        self._post_at = (
-            sim.post_at_calendar
-            if sim._flat and sim._calendar
-            else sim.post_at
-        )
+        #: the hottest lines in the tree.
+        self._post_at = sim.post_at
         #: True while ``self.queue`` is an exact fast-datapath
         #: :class:`FifoQueue` — the fused send/drain bodies below may
         #: then manipulate its deque/byte-count/stats directly instead

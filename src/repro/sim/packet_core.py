@@ -31,7 +31,7 @@ retained as the differential oracle, selected the same way as
 
 Both cores are proven byte-identical — same event order, same
 ``events_scheduled``/``events_processed`` counters, same log records —
-by the kernel-matrix differential suite.
+by ``tests/sim/test_packet_core_differential.py``.
 
 A design note on "columns for everything": per-packet *scalar field
 access* one packet at a time is not faster through ``array`` columns

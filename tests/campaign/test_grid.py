@@ -120,6 +120,24 @@ class TestValidation:
         dict(seeds=(1, 1)),
         dict(n_leaves=1),
         dict(warmup=0.05, duration=0.04),
+        # Non-finite or out-of-range fabric and window constants.
+        dict(duration=float("nan")),
+        dict(duration=float("inf")),
+        dict(host_bandwidth_bps=0.0),
+        dict(host_bandwidth_bps=-1e9),
+        dict(host_bandwidth_bps=float("nan")),
+        dict(fabric_bandwidth_bps=0.0),
+        dict(fabric_bandwidth_bps=float("inf")),
+        dict(fabric_buffer_bytes=0.0),
+        dict(fabric_buffer_bytes=float("nan")),
+        dict(warmup=-0.001),
+        dict(warmup=float("nan")),
+        dict(per_hop_delay=-1e-6),
+        dict(per_hop_delay=float("nan")),
+        dict(per_hop_delay=float("inf")),
+        dict(thresholds=((float("nan"),),)),
+        dict(loads=(float("nan"),)),
+        dict(loads=(float("inf"),)),
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ValueError):
@@ -165,6 +183,10 @@ class TestChaosKnobs:
         dict(flap_count=-1),
         dict(flap_down=2.0, flap_period=2.0, flap_count=1),
         dict(flap_down=0.0, flap_period=2.0, flap_count=1),
+        dict(jitter_s=float("nan")),
+        dict(jitter_s=float("inf")),
+        dict(flap_period=float("inf"), flap_count=1),
+        dict(flap_down=float("nan"), flap_count=0),
     ])
     def test_rejected(self, overrides):
         with pytest.raises(ValueError):

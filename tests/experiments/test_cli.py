@@ -31,6 +31,17 @@ class TestParser:
         ["incast", "--flows", "0"],
         ["incast", "--queries", "0"],
         ["incast", "--queries", "-3"],
+        ["campaign", "--warmup", "-0.001"],
+        ["campaign", "--warmup", "nan"],
+        ["campaign", "--duration", "nan"],
+        ["campaign", "--duration", "0"],
+        ["campaign", "--per-hop-delay", "nan"],
+        ["campaign", "--per-hop-delay", "-0.000001"],
+        ["campaign", "--host-bandwidth", "0"],
+        ["campaign", "--fabric-bandwidth", "inf"],
+        ["campaign", "--jitter", "nan"],
+        ["campaign", "--flap-period", "inf"],
+        ["campaign", "--flap-down", "-0.5"],
     ])
     def test_bad_numeric_arguments_rejected_at_parse_time(self, argv, capsys):
         """One-line argparse error and exit 2 — never a NaN table with

@@ -358,7 +358,7 @@ class TestKernelRegistry:
         findings = lint(engine, """\
             import os
 
-            A = os.environ["REPRO_EVENT_QUEUE"]
+            A = os.environ["REPRO_TIMER_MODEL"]
             B = os.getenv("REPRO_LINK_MODEL")
             """)
         assert [f.rule for f in findings] == ["KRN001", "KRN001"]
@@ -382,7 +382,7 @@ class TestKernelRegistry:
         assert rules_fired(engine, """\
             import os
 
-            VALUE = os.environ.get("REPRO_EVENT_QUEUE")
+            VALUE = os.environ.get("REPRO_DATAPATH")
             """, module="repro.sim.kernels") == []
 
     def test_suppressed(self, engine):

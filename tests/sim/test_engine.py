@@ -1,39 +1,15 @@
-"""Unit tests for the discrete-event kernel.
-
-Every test in this module runs twice — once under the calendar-queue
-kernel and once under the binary-heap oracle (the autouse ``kernel``
-fixture below) — so the two schedulers cannot drift apart on any of the
-contracts asserted here.
-"""
+"""Unit tests for the discrete-event kernel."""
 
 import math
 
 import pytest
 
 from repro.sim.engine import (
-    EVENT_QUEUES,
     Simulator,
-    event_queue,
     handle_pool_limit,
     handle_pool_size,
     set_handle_pool_limit,
 )
-
-
-@pytest.fixture(autouse=True, params=EVENT_QUEUES)
-def kernel(request):
-    """Run the whole module under each event-queue implementation."""
-    with event_queue(request.param):
-        yield request.param
-
-
-def _sole_entry(sim):
-    """The single scheduler entry of a one-event simulator (any kernel)."""
-    if sim.event_queue_impl == "heap":
-        (entry,) = sim._heap
-    else:
-        (entry,) = [e for bucket in sim._buckets.values() for e in bucket]
-    return entry
 
 
 class TestScheduling:
@@ -56,6 +32,14 @@ class TestScheduling:
             sim.schedule(1.0, order.append, label)
         sim.run()
         assert order == list("abcde")
+
+    def test_same_timestamp_flood_fires_in_scheduling_order(self):
+        sim = Simulator()
+        fired = []
+        for i in range(5000):
+            sim.schedule_at(1.0, fired.append, i)
+        sim.run()
+        assert fired == list(range(5000))
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
@@ -237,7 +221,8 @@ class TestRunLimits:
         # The cancelled entries are gone from the scheduler, the live
         # one stays.
         assert sim.pending_events == 1
-        assert _sole_entry(sim)[2] is live
+        (entry,) = sim._heap
+        assert entry[2] is live
 
     def test_next_pending_time_empty_after_pruning_everything(self):
         sim = Simulator()
@@ -314,7 +299,23 @@ class TestReset:
         sim.run()
         sim.reset()
         sim.schedule(1.0, lambda: None)
-        assert _sole_entry(sim)[1] == 0
+        (entry,) = sim._heap
+        assert entry[1] == 0
+
+    def test_reset_from_inside_callback_drops_pending(self):
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            fired.append("boom")
+            sim.reset()
+
+        sim.schedule(1.0, boom)
+        sim.schedule(2.0, fired.append, "never")
+        sim.run()
+        assert fired == ["boom"]
+        assert sim.pending_events == 0
+        assert sim.now == 0.0
 
 
 class TestHandlePool:
@@ -489,101 +490,6 @@ class TestPost:
         sim.post(1.0, recurring, 3)
         sim.run()
         assert hits == [1.0, 2.0, 3.0]
-
-
-class TestCalendarQueue:
-    """Calendar-specific mechanics (explicit kernel, fixture-independent)."""
-
-    def test_far_future_outlier_forces_widening_and_keeps_order(self):
-        """A sparse tail of near-empty buckets trips the occupancy
-        resize; ordering must survive the rebucketing."""
-        sim = Simulator(event_queue="calendar")
-        fired = []
-        # Dense cluster now, sparse far-future spray: the drain of the
-        # sparse region observes occupancy ~1 and widens the calendar.
-        for i in range(200):
-            sim.schedule(1e-7 * i, fired.append, ("dense", i))
-        for i in range(200):
-            sim.schedule(0.5 + 7.3 * i, fired.append, ("sparse", i))
-        start_width = sim._width
-        sim.run()
-        assert sim._width > start_width  # widened at least once
-        assert fired == [("dense", i) for i in range(200)] + [
-            ("sparse", i) for i in range(200)
-        ]
-
-    def test_schedule_into_bucket_being_drained_fires_in_order(self):
-        """A callback scheduling back into the current bucket (same day)
-        must be merged into the in-progress drain, not postponed."""
-        sim = Simulator(event_queue="calendar")
-        width = sim._width
-        fired = []
-
-        def first():
-            fired.append("first")
-            # Lands in the same bucket, after the cursor.
-            sim.schedule(width * 0.4, fired.append, "injected")
-
-        sim.schedule(width * 0.1, first)
-        sim.schedule(width * 0.9, fired.append, "last")
-        sim.run()
-        assert fired == ["first", "injected", "last"]
-
-    def test_same_timestamp_flood_does_not_resize_to_zero_progress(self):
-        """Thousands of events on one instant pile into one bucket; the
-        drain must complete and the width must stay positive."""
-        sim = Simulator(event_queue="calendar")
-        fired = []
-        for i in range(5000):
-            sim.schedule_at(1.0, fired.append, i)
-        sim.run()
-        assert fired == list(range(5000))
-        assert sim._width > 0
-
-    def test_reset_from_inside_callback_drops_pending(self):
-        sim = Simulator(event_queue="calendar")
-        fired = []
-
-        def boom():
-            fired.append("boom")
-            sim.reset()
-
-        sim.schedule(1.0, boom)
-        sim.schedule(2.0, fired.append, "never")
-        sim.run()
-        assert fired == ["boom"]
-        assert sim.pending_events == 0
-        assert sim.now == 0.0
-
-    def test_width_rewinds_on_reset(self):
-        sim = Simulator(event_queue="calendar")
-        for i in range(200):
-            sim.schedule(0.5 + 7.3 * i, lambda: None)
-        sim.run()
-        assert sim._width != 1e-6
-        sim.reset()
-        assert sim._width == 1e-6
-
-
-class TestKernelSelection:
-    def test_unknown_event_queue_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(event_queue="splay-tree")
-
-    def test_explicit_kernel_overrides_default(self):
-        with event_queue("heap"):
-            assert Simulator().event_queue_impl == "heap"
-            assert Simulator(event_queue="calendar").event_queue_impl == (
-                "calendar"
-            )
-
-    def test_env_switch_context_manager_restores(self):
-        from repro.sim.engine import default_event_queue
-
-        before = default_event_queue()
-        with event_queue("heap"):
-            assert default_event_queue() == "heap"
-        assert default_event_queue() == before
 
 
 class TestDeterminism:

@@ -25,17 +25,17 @@ class TestRegistry:
             kernels.env_value("REPRO_BOGUS")
 
     def test_env_default_prefers_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-        assert kernels.env_default("REPRO_EVENT_QUEUE") == "calendar"
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-        assert kernels.env_default("REPRO_EVENT_QUEUE") == "heap"
+        monkeypatch.delenv("REPRO_PACKET_CORE", raising=False)
+        assert kernels.env_default("REPRO_PACKET_CORE") == "flat"
+        monkeypatch.setenv("REPRO_PACKET_CORE", "object")
+        assert kernels.env_default("REPRO_PACKET_CORE") == "object"
 
     def test_env_default_does_not_validate(self, monkeypatch):
         # A bad value must surface at first *use* (the kernel module's
         # own ValueError), not at registry read time — otherwise a typo
         # in the environment turns module import into the failure point.
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "bogus")
-        assert kernels.env_default("REPRO_EVENT_QUEUE") == "bogus"
+        monkeypatch.setenv("REPRO_PACKET_CORE", "bogus")
+        assert kernels.env_default("REPRO_PACKET_CORE") == "bogus"
 
     def test_env_default_rejects_defaultless_switches(self):
         with pytest.raises(ValueError, match="no default"):
@@ -51,7 +51,6 @@ class TestRegistry:
 GOOD_TABLE = """\
 | variable | default | oracle | selects |
 |---|---|---|---|
-| `REPRO_EVENT_QUEUE` | `calendar` | `heap` | event scheduler |
 | `REPRO_PACKET_CORE` | `flat` | `object` | packet-log storage |
 | `REPRO_LINK_MODEL` | `busy-until` | `two-event` | transmitter |
 | `REPRO_TIMER_MODEL` | `soft-deadline` | `eager` | RTO re-arm |
@@ -71,7 +70,7 @@ class TestReadmeParity:
         assert any("REPRO_TIMER_MODEL" in p and "no row" in p for p in problems)
 
     def test_wrong_default_and_oracle_reported(self):
-        text = GOOD_TABLE.replace("`calendar`", "`heap`", 1)
+        text = GOOD_TABLE.replace("`flat`", "`object`", 1)
         problems = kernels.readme_parity_problems(text)
         assert any("default" in p for p in problems)
 
@@ -84,14 +83,13 @@ class TestReadmeParity:
 class TestCiParity:
     def test_all_pins_present_is_clean(self):
         ci = (
-            "REPRO_EVENT_QUEUE=heap REPRO_PACKET_CORE=object "
-            "REPRO_LINK_MODEL=two-event REPRO_TIMER_MODEL=eager "
-            "REPRO_DATAPATH=reference"
+            "REPRO_PACKET_CORE=object REPRO_LINK_MODEL=two-event "
+            "REPRO_TIMER_MODEL=eager REPRO_DATAPATH=reference"
         )
         assert kernels.ci_parity_problems(ci) == []
 
     def test_missing_pin_reported(self):
-        ci = "REPRO_EVENT_QUEUE=heap REPRO_PACKET_CORE=object"
+        ci = "REPRO_PACKET_CORE=object"
         problems = kernels.ci_parity_problems(ci)
         assert len(problems) == 3
         assert any("REPRO_LINK_MODEL=two-event" in p for p in problems)

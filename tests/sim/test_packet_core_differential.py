@@ -1,30 +1,27 @@
-"""Differential tests: calendar-queue kernel vs the binary-heap oracle.
-
-The calendar queue's contract (ISSUE 7) is *exact* equivalence with the
-PR 4 heap: identical pop order on any schedule — equal timestamps break
-ties by scheduling sequence, cancellations are skipped, far-future
-outliers that force a bucket-width resize keep their place, ``stop()``/
-budget/``until`` cut the run at the same event, and reset rewinds both
-kernels to indistinguishable states.  The flat packet core's contract is
-the same story one level up: ``post``-ed events and column-stored log
-records replay byte-identically against the boxed-object oracle.
+"""Differential tests: the event heap vs a reference model, and the flat
+packet core vs the boxed-object oracle.
 
 Two layers of evidence:
 
-* hypothesis property tests drive both kernels through random operation
-  programs (ties, cancels, self-rescheduling chains, sparse outliers,
-  mid-run stops) under three run regimes (free-running, event-budget
-  steps, ``until`` steps) and require identical traces;
-* end-to-end kernel-matrix tests run Figure 1 (queue oscillation),
-  Figure 14/15 (incast collapse) and a PR 6 leaf-spine campaign cell
-  under all four ``REPRO_EVENT_QUEUE`` x ``REPRO_PACKET_CORE`` combos
-  and require results identical to the heap+object oracle.
+* hypothesis property tests drive the heap :class:`Simulator` and a
+  sorted-list reference scheduler (below) through random operation
+  programs — ties, cancels, self-rescheduling chains, far-future
+  outliers, mid-run stops — under three run regimes (free-running,
+  event-budget steps, ``until`` steps), plus reset-and-replay, and
+  require identical traces: equal timestamps fire in scheduling order,
+  cancellations are skipped, and ``stop()``/budget/``until`` cut the
+  run at the same event;
+* end-to-end tests run Figure 1 (queue oscillation), Figure 14/15
+  (incast collapse) and a PR 6 leaf-spine campaign cell under both
+  ``REPRO_PACKET_CORE`` values and require results identical to the
+  ``object`` oracle: ``post``-ed events and column-stored log records
+  replay byte-identically against boxed objects.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -43,22 +40,91 @@ from repro.experiments.fig14_incast import (
 )
 from repro.experiments.protocols import dctcp_testbed
 from repro.sim.apps.incast import FanInApp
-from repro.sim.engine import Simulator, event_queue
+from repro.sim.engine import Simulator
 from repro.sim.packet_core import packet_core
 from repro.sim.packet_log import PacketLogger
 from repro.sim.topology import paper_testbed
 
 KB = 1024
 
-COMBOS = tuple(
-    itertools.product(("calendar", "heap"), ("flat", "object"))
-)
-ORACLE = ("heap", "object")
+CORES = ("flat", "object")
+ORACLE = "object"
 
 
 # ----------------------------------------------------------------------
 # Property layer: random operation programs, identical pop order.
 # ----------------------------------------------------------------------
+
+
+class _RefHandle:
+    def __init__(self, callback, args):
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ReferenceScheduler:
+    """The :class:`Simulator` contract as a plain sorted list.
+
+    Entries are ``(time, seq, handle)`` kept sorted by ``bisect.insort``;
+    cancellation is lazy, a run pops from the front, and ``until``
+    fast-forwards the clock only when no live event remains at or
+    before it and no stop was requested.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_scheduled = 0
+        self.events_processed = 0
+        self._pending = []
+        self._stop_requested = False
+
+    @property
+    def pending_events(self):
+        return len(self._pending)
+
+    def schedule_at(self, time, callback, *args):
+        handle = _RefHandle(callback, args)
+        bisect.insort(self._pending, (time, self.events_scheduled, handle))
+        self.events_scheduled += 1
+        return handle
+
+    post_at = schedule_at
+
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def stop(self):
+        self._stop_requested = True
+
+    def run(self, until=None, max_events=None):
+        self._stop_requested = False
+        budget = max_events if max_events is not None else float("inf")
+        while self._pending and budget and not self._stop_requested:
+            time, _seq, handle = self._pending[0]
+            if until is not None and time > until:
+                break
+            del self._pending[0]
+            if handle.cancelled:
+                continue
+            self.now = time
+            self.events_processed += 1
+            budget -= 1
+            handle.callback(*handle.args)
+        if until is not None and self.now < until and not self._stop_requested:
+            live = [t for t, _seq, h in self._pending if not h.cancelled]
+            if not live or live[0] > until:
+                self.now = until
+
+    def reset(self):
+        self._pending.clear()
+        self.now = 0.0
+        self.events_scheduled = 0
+        self.events_processed = 0
+
 
 _times = st.floats(
     min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
@@ -79,7 +145,7 @@ _ops = st.lists(
         st.tuples(st.just("cancel_at"), _times, st.integers(0, 1000)),
         # Self-rescheduling chain: n hops of `gap` starting at t.
         st.tuples(st.just("chain"), _times, st.integers(1, 10), _gaps),
-        # Sparse far-future outlier (drives bucket-width resizing).
+        # Sparse far-future outlier.
         st.tuples(st.just("far"), _times),
         st.tuples(st.just("stop"), _times),
     ),
@@ -94,9 +160,8 @@ def _chain_cb(sim, trace, label, remaining, gap):
         sim.schedule(gap, _chain_cb, sim, trace, label, remaining - 1, gap)
 
 
-def _drive(impl: str, ops, mode: str):
-    """Apply one op program to a fresh kernel; return its full trace."""
-    sim = Simulator(event_queue=impl)
+def _drive(sim, ops, mode: str):
+    """Apply one op program to a fresh scheduler; return its full trace."""
     trace = []
     handles = []
 
@@ -159,16 +224,17 @@ def _drive(impl: str, ops, mode: str):
 @settings(max_examples=40, deadline=None)
 @given(ops=_ops)
 @pytest.mark.parametrize("mode", ["free", "budget", "until"])
-def test_calendar_matches_heap_on_random_programs(mode, ops):
-    assert _drive("calendar", ops, mode) == _drive("heap", ops, mode)
+def test_heap_matches_reference_on_random_programs(mode, ops):
+    assert _drive(Simulator(), ops, mode) == _drive(
+        ReferenceScheduler(), ops, mode
+    )
 
 
 @settings(max_examples=20, deadline=None)
 @given(ops=_ops)
-def test_reset_rewinds_both_kernels_identically(ops):
+def test_reset_rewinds_like_the_reference(ops):
     traces = []
-    for impl in ("calendar", "heap"):
-        sim = Simulator(event_queue=impl)
+    for sim in (Simulator(), ReferenceScheduler()):
         trace = []
         for i, op in enumerate(ops):
             if op[0] in ("at", "post", "far"):
@@ -187,19 +253,19 @@ def test_reset_rewinds_both_kernels_identically(ops):
 
 
 # ----------------------------------------------------------------------
-# End-to-end layer: the kernel matrix on real experiments.
+# End-to-end layer: both packet cores on real experiments.
 # ----------------------------------------------------------------------
 
 
-def _matrix(run):
-    """Run ``run()`` under every kernel combo; compare to the oracle."""
+def _both_cores(run):
+    """Run ``run()`` under each packet core; compare to the oracle."""
     results = {}
-    for eq, pc in COMBOS:
-        with event_queue(eq), packet_core(pc):
-            results[(eq, pc)] = run()
+    for core in CORES:
+        with packet_core(core):
+            results[core] = run()
     oracle = results[ORACLE]
-    for combo, result in results.items():
-        assert result == oracle, f"{combo} diverged from heap+object oracle"
+    for core, result in results.items():
+        assert result == oracle, f"{core} core diverged from the object oracle"
     return oracle
 
 
@@ -214,8 +280,8 @@ def _normalised_records(log: PacketLogger):
     return [dataclasses.replace(r, flow_id=r.flow_id - base) for r in records]
 
 
-def test_fig01_oscillation_identical_across_kernel_matrix():
-    """Figure 1 queue trace: all four combos, byte-identical samples."""
+def test_fig01_oscillation_identical_across_packet_cores():
+    """Figure 1 queue trace: byte-identical samples under both cores."""
 
     def run():
         case = Case(
@@ -231,11 +297,11 @@ def test_fig01_oscillation_identical_across_kernel_matrix():
         )
         return fig01_run_case(case)
 
-    result = _matrix(run)
+    result = _both_cores(run)
     assert len(result["queue"]) > 50, "scenario too small to be meaningful"
 
 
-def test_fig14_incast_identical_across_kernel_matrix():
+def test_fig14_incast_identical_across_packet_cores():
     """Fig 14/15 collapse point: full packet trace + queue stats."""
 
     def run():
@@ -271,11 +337,11 @@ def test_fig14_incast_identical_across_kernel_matrix():
             testbed.sim.events_processed,
         )
 
-    records, _stats, _queries, _events = _matrix(run)
+    records, _stats, _queries, _events = _both_cores(run)
     assert len(records) > 500, "scenario too small to be meaningful"
 
 
-def test_leaf_spine_campaign_cell_identical_across_kernel_matrix():
+def test_leaf_spine_campaign_cell_identical_across_packet_cores():
     """One PR 6 fabric cell: FCT list, queue stats, mark/drop totals."""
     grid = CampaignGrid(
         thresholds=((40.0,),),
@@ -288,5 +354,5 @@ def test_leaf_spine_campaign_cell_identical_across_kernel_matrix():
     )
     params = grid.expand()[0].params
 
-    result = _matrix(lambda: run_cell(params))
+    result = _both_cores(lambda: run_cell(params))
     assert result["flows_started"] > 0, "cell generated no traffic"
